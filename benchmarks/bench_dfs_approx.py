@@ -1,11 +1,11 @@
 """E-T3.1: the 1.25-approximation (Theorem 3.1 / Lemma 3.1).
 
 Regenerates: the DFS-vs-exact quality table.  Times: the DFS algorithm on a
-growing series, exhibiting its near-linear scaling (Lemma 3.1's "linear
-time" claim — our implementation is near-linear, which preserves the shape
-against the exponential exact solver).
+series from m = 1k to 16k edges and fits the log-log time exponent, which
+checks Lemma 3.1's "linear time" claim as a measured number.
 """
 
+import math
 import time
 
 from repro.analysis.experiments import dfs_approx_experiment
@@ -19,30 +19,54 @@ def test_dfs_quality_table(benchmark, emit):
     emit("E-T3.1_dfs_quality", table)
 
 
+# Edge counts of the runtime series; each graph is a random spanning tree
+# on m/3 + m/3 vertices plus m/3 random extra edges.
+RUNTIME_SIZES = (1000, 2000, 4000, 8000, 16000)
+
+
+def time_exponent(points):
+    """Least-squares slope of log(seconds) against log(m)."""
+    xs = [math.log(m) for m, _ in points]
+    ys = [math.log(t) for _, t in points]
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    num = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    return num / sum((x - mx) ** 2 for x in xs)
+
+
 def test_dfs_runtime_series(benchmark, emit):
-    sizes = (20, 40, 80, 160)
-    graphs = {
-        n: random_connected_bipartite(n, n, extra_edges=n // 2, seed=1)
-        for n in sizes
-    }
+    graphs = {}
+    for m in RUNTIME_SIZES:
+        side = m // 3
+        graphs[m] = random_connected_bipartite(
+            side, side, extra_edges=m - (2 * side - 1), seed=1
+        )
 
     def series():
+        # Sizes are timed round-robin and each keeps its fastest of 5 runs,
+        # so a drift in machine speed hits every size alike.
+        best = dict.fromkeys(RUNTIME_SIZES, math.inf)
+        results = {}
+        for _ in range(5):
+            for m in RUNTIME_SIZES:
+                start = time.perf_counter()
+                results[m] = solve_dfs_approx(graphs[m])
+                best[m] = min(best[m], time.perf_counter() - start)
         table = Table(
-            ["n", "m", "pi_dfs", "guarantee", "seconds"],
+            ["m", "pi_dfs", "guarantee", "seconds"],
             title="E-T3.1: DFS algorithm runtime scaling (Lemma 3.1)",
         )
-        for n in sizes:
-            g = graphs[n]
-            start = time.perf_counter()
-            result = solve_dfs_approx(g)
-            elapsed = time.perf_counter() - start
-            table.add_row(
-                [n, g.num_edges, result.effective_cost, result.guarantee, round(elapsed, 4)]
-            )
-        return table
+        for m in RUNTIME_SIZES:
+            result = results[m]
+            table.add_row([m, result.effective_cost, result.guarantee, round(best[m], 4)])
+        return table, [(m, best[m]) for m in RUNTIME_SIZES]
 
-    table = benchmark.pedantic(series, rounds=1, iterations=1)
+    table, points = benchmark.pedantic(series, rounds=1, iterations=1)
     emit("E-T3.1_dfs_runtime", table)
+    emit(
+        "E-T3.1_dfs_runtime",
+        f"time exponent (log-log fit): m=1k-8k {time_exponent(points[:4]):.2f}, "
+        f"m=1k-16k {time_exponent(points):.2f}",
+    )
 
 
 def test_dfs_single_solve(benchmark):

@@ -1548,10 +1548,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--publish-dir",
-        default="benchmarks/results",
+        default=None,
         help=(
-            "tracked perf-trajectory directory the canonical snapshot is "
-            "published to (default benchmarks/results)"
+            "also publish the canonical snapshot to this perf-trajectory "
+            "directory (the tracked feed is benchmarks/results); default: "
+            "no publishing"
         ),
     )
     bench.add_argument(

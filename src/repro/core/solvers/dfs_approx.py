@@ -2,34 +2,42 @@
 
 The algorithm follows the paper's proof:
 
-1. Build ``L(G)`` for a connected component; it is connected and claw-free.
-2. Take a rooted DFS tree of ``L(G)``.  Claw-freeness forces every node to
-   have at most two children (three children would be pairwise non-adjacent
-   — DFS trees have no cross edges — forming an induced ``K_{1,3}``).
-3. *Twin elimination*: while two leaves ``l1, l2`` share a parent ``p`` with
-   grandparent ``g``, claw-freeness at ``p`` (whose neighbours ``g, l1, l2``
-   cannot be pairwise non-adjacent) yields a rewiring that turns the twin
-   pair into a chain using only real ``L(G)`` edges:
+1. Take a rooted DFS tree of ``L(G)`` for a connected component; ``L(G)``
+   is connected and claw-free.  Claw-freeness forces every node to have at
+   most two children (three children would be pairwise non-adjacent — DFS
+   trees have no cross edges — forming an induced ``K_{1,3}``).
+2. Peel the tree bottom-up (Lemma 3.1).  Nodes are finished in post-order;
+   when a node ``x`` is finished, every child subtree still attached to it
+   has at most 3 nodes.  A child ``p`` whose two children ``l1, l2`` are
+   leaves is a *twin* pair, and claw-freeness at ``p`` (whose neighbours
+   ``x, l1, l2`` cannot be pairwise non-adjacent) yields a rewiring that
+   turns it into a chain using only real ``L(G)`` edges:
 
-   - ``g ~ l1``: re-hang ``l1`` under ``g`` and ``p`` under ``l1``
-     (chain ``g–l1–p–l2``);
-   - ``g ~ l2``: symmetric;
+   - ``x ~ l1``: re-hang ``l1`` under ``x`` and ``p`` under ``l1``
+     (chain ``x–l1–p–l2``);
+   - ``x ~ l2``: symmetric;
    - ``l1 ~ l2``: re-hang ``l2`` under ``l1`` (chain ``p–l1–l2``).
 
-4. *Path peeling*: in the twin-free binary tree, pick a deepest node ``r``
-   with at least 4 descendants.  Each child subtree of ``r`` has at most 3
-   nodes and — being twin-free and binary — is a chain hanging from the
-   child, so the subtree of ``r`` is a path of 4–7 nodes.  Emit it as a
-   chunk and remove it; re-eliminate twins (removals create new leaves) and
-   repeat while at least 4 nodes remain.  The final at-most-3 remaining
-   nodes always form a path (chain, or a 3-star traversed through its
-   centre).
+   Every child subtree of ``x`` is then a chain of at most 3 nodes hanging
+   from the child, so the subtree of ``x`` is a path through ``x``.  As
+   soon as it has at least 4 nodes it is emitted as a chunk of 4–7 nodes
+   and detached.  What is left at the root (at most 3 nodes) is the final
+   chunk.
 
 Every chunk except possibly the last has ≥ 4 nodes, so the tour formed by
 concatenating chunks has at most ``⌊m/4⌋`` jumps, giving
 ``π ≤ m + ⌊m/4⌋ ≤ 1.25 m`` — the bound of Theorem 3.1.  A final greedy
 reordering of chunks (which can only remove jumps) often does noticeably
 better than the guarantee.
+
+``L(G)`` is never built.  Its nodes are the edges of ``G`` ranked by
+``repr``, two nodes are adjacent iff the edges share an endpoint, and the
+DFS walks it through one cursor per vertex of ``G`` over the vertex's
+incident edges: the next child of ``(u, v)`` is the smaller unvisited head
+of the cursors of ``u`` and ``v``.  The tree is the one
+:func:`repro.graphs.traversal.dfs_tree` builds on ``L(G)`` from its
+min-``repr`` node, and DFS plus peeling take O(m) steps after an
+O(m log m) sort.
 """
 
 from __future__ import annotations
@@ -39,11 +47,13 @@ from dataclasses import dataclass
 from repro.errors import SolverError
 from repro.graphs.bipartite import BipartiteGraph
 from repro.graphs.components import component_vertex_sets
-from repro.graphs.line_graph import line_graph
 from repro.graphs.simple import Graph
-from repro.graphs.traversal import RootedTree, dfs_tree
 from repro.core.scheme import PebblingScheme
-from repro.core.tsp import reorder_paths_greedily, tour_from_paths
+from repro.core.tsp import (
+    edges_share_endpoint,
+    reorder_paths_greedily,
+    tour_from_paths,
+)
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.runtime.budget import Budget
@@ -62,98 +72,138 @@ class DfsApproxResult:
     guarantee: int  # the certified upper bound m + floor(m/4)
 
 
-def _find_twins(tree: RootedTree) -> tuple | None:
-    """Locate one twin pair: two leaves sharing a parent.  Returns
-    ``(parent, leaf1, leaf2)`` or ``None``."""
-    for node in tree.nodes():
-        children = tree.children(node)
-        if len(children) == 2 and all(tree.is_leaf(c) for c in children):
-            return (node, children[0], children[1])
-    return None
+@dataclass(frozen=True)
+class LineDfsTree:
+    """A rooted DFS tree of ``L(c)`` for a connected graph ``c``.
 
-
-def _eliminate_twins(tree: RootedTree, line: Graph) -> None:
-    """Rewire the tree until no two leaves share a parent.
-
-    Each rewiring uses a real ``L(G)`` edge guaranteed by claw-freeness and
-    strictly decreases the number of leaves, so the loop terminates.
+    Nodes are indices into ``edges`` (the edges of ``c`` sorted by
+    ``repr``); node 0 is the root.  ``work`` counts the tree steps plus the
+    cursor advances the walk took, which is at most ``4m``.
     """
-    while True:
-        twins = _find_twins(tree)
-        if twins is None:
-            return
-        parent, l1, l2 = twins
-        grandparent = tree.parent(parent)
-        if grandparent is None:
-            # Parent is the root with exactly the two twin leaves: the whole
-            # tree has 3 nodes and the caller handles it as a final chunk.
-            return
-        if line.has_edge(grandparent, l1):
-            tree.reattach(l1, grandparent)
-            tree.reattach(parent, l1)
-        elif line.has_edge(grandparent, l2):
-            tree.reattach(l2, grandparent)
-            tree.reattach(parent, l2)
-        elif line.has_edge(l1, l2):
-            tree.reattach(l2, l1)
-        else:
-            raise SolverError(
-                "claw K_{1,3} found in a line graph — input corrupted"
-            )
+
+    edges: list
+    children: list[list[int]]
+    depth: list[int]
+    postorder: list[int]
+    work: int
 
 
-def _chain_down(tree: RootedTree, node) -> list:
-    """The chain hanging from ``node``; raises if a branch is found.
-
-    Twin-free binary subtrees of ≤ 3 nodes are guaranteed chains, which is
-    the only place this is called.
+def line_dfs_tree(component: AnyGraph) -> LineDfsTree:
+    """The DFS tree of ``L(component)`` rooted at its min-``repr`` node,
+    children visited in ``repr`` order, without building ``L(component)``.
     """
-    chain = [node]
-    current = node
-    while True:
-        children = tree.children(current)
-        if not children:
-            return chain
-        if len(children) > 1:
-            raise SolverError("subtree expected to be a chain has a branch")
-        current = children[0]
-        chain.append(current)
-
-
-def _subtree_as_path(tree: RootedTree, node) -> list:
-    """The subtree of ``node`` flattened into a path through ``node``."""
-    children = tree.children(node)
-    if not children:
-        return [node]
-    if len(children) == 1:
-        return [node] + _chain_down(tree, children[0])
-    first = _chain_down(tree, children[0])
-    second = _chain_down(tree, children[1])
-    return list(reversed(first)) + [node] + second
-
-
-def _peel_chunks(tree: RootedTree, line: Graph) -> list[list]:
-    """Decompose the tree into path chunks per the Theorem 3.1 procedure."""
-    chunks: list[list] = []
-    while len(tree) >= 4:
-        _eliminate_twins(tree, line)
-        if len(tree) < 4:
-            break
-        sizes = tree.subtree_sizes()
-        # Deepest node with >= 4 descendants (including itself).
-        candidates = [n for n in tree.nodes() if sizes[n] >= 4]
-        target = max(candidates, key=lambda n: (tree.depth(n), repr(n)))
-        chunks.append(_subtree_as_path(tree, target))
-        tree.remove_subtree(target)
-    if len(tree) > 0:
-        root = tree.root
-        children = tree.children(root)
-        if len(children) <= 1:
-            chunks.append(_chain_down(tree, root))
+    edges = sorted(component.edges(), key=repr)
+    m = len(edges)
+    incident: dict = {}
+    for index, (u, v) in enumerate(edges):
+        incident.setdefault(u, []).append(index)
+        incident.setdefault(v, []).append(index)
+    # A vertex's cursor only moves past visited edges, and visited edges
+    # stay visited, so its head is its min-rank unvisited incident edge.
+    cursor = dict.fromkeys(incident, 0)
+    visited = [False] * m
+    children: list[list[int]] = [[] for _ in range(m)]
+    depth = [0] * m
+    postorder: list[int] = []
+    work = 0
+    stack: list[int] = []
+    if m:
+        visited[0] = True
+        stack.append(0)
+    while stack:
+        node = stack[-1]
+        child = m
+        for vertex in edges[node]:
+            around = incident[vertex]
+            at = start = cursor[vertex]
+            while at < len(around) and visited[around[at]]:
+                at += 1
+            cursor[vertex] = at
+            work += at - start
+            if at < len(around) and around[at] < child:
+                child = around[at]
+        work += 1
+        if child < m:
+            visited[child] = True
+            children[node].append(child)
+            depth[child] = len(stack)
+            stack.append(child)
         else:
-            # A 3-node star: traverse through the root.
-            chunks.append([children[0], root, children[1]])
-    return chunks
+            postorder.append(stack.pop())
+    return LineDfsTree(edges, children, depth, postorder, work)
+
+
+def dfs_chunks(component: AnyGraph) -> list[list]:
+    """The Lemma 3.1 path chunks of one connected component: every chunk
+    but the last has 4–7 edges, and every chunk is a path in
+    ``L(component)``.
+
+    Chunks come deepest peel node first (ties: larger ``repr`` first), the
+    root's remainder last — the order in which repeatedly peeling the
+    deepest node with at least 4 nodes below it would emit them.
+    """
+    tree = line_dfs_tree(component)
+    edges = tree.edges
+    children = tree.children  # rewired in place below
+    size = [0] * len(edges)  # nodes still attached below and at each node
+
+    def adjacent(a: int, b: int) -> bool:
+        return edges_share_endpoint(edges[a], edges[b])
+
+    def chain_from(node: int) -> list[int]:
+        chain = [node]
+        while children[node]:
+            node = children[node][0]
+            chain.append(node)
+        return chain
+
+    def path_through(node: int) -> list[int]:
+        kids = children[node]
+        if len(kids) == 2:
+            return chain_from(kids[0])[::-1] + [node] + chain_from(kids[1])
+        return [node] + (chain_from(kids[0]) if kids else [])
+
+    peeled: list[tuple[int, int, list[int]]] = []
+    for node in tree.postorder:
+        kids = [c for c in children[node] if size[c]]  # drop peeled children
+        for parent in list(kids):
+            if len(children[parent]) < 2:
+                continue
+            # Twins: ``parent`` has at most 3 nodes, so both are leaves.
+            l1, l2 = children[parent]
+            if adjacent(node, l1):
+                top, bottom = l1, l2
+            elif adjacent(node, l2):
+                top, bottom = l2, l1
+            elif adjacent(l1, l2):
+                children[parent] = [l1]
+                children[l1] = [l2]
+                size[l1] = 2
+                continue
+            else:
+                raise SolverError(
+                    "claw K_{1,3} found in a line graph — input corrupted"
+                )
+            kids.remove(parent)
+            kids.append(top)
+            children[top] = [parent]
+            children[parent] = [bottom]
+            size[top], size[parent] = 3, 2
+        children[node] = kids
+        size[node] = 1 + sum(size[c] for c in kids)
+        if size[node] >= 4:
+            peeled.append((tree.depth[node], node, path_through(node)))
+            size[node] = 0
+    peeled.sort(reverse=True)
+    chunks = [path for _depth, _node, path in peeled]
+    if edges and size[0]:
+        chunks.append(path_through(0))
+    # Cheap certification: each chunk really is a weight-1 path.
+    for chunk in chunks:
+        for a, b in zip(chunk, chunk[1:]):
+            if not adjacent(a, b):
+                raise SolverError("internal error: chunk is not an L(G) path")
+    return [[edges[i] for i in chunk] for chunk in chunks]
 
 
 def component_tour_dfs(component: AnyGraph) -> tuple[list, int]:
@@ -161,17 +211,7 @@ def component_tour_dfs(component: AnyGraph) -> tuple[list, int]:
 
     Returns ``(tour, chunk_count)``.
     """
-    line = line_graph(component)
-    if line.num_vertices == 0:
-        return [], 0
-    root = min(line.vertices, key=repr)
-    tree = dfs_tree(line, root)
-    chunks = _peel_chunks(tree, line)
-    # Verify each chunk really is a weight-1 path (cheap certification).
-    for chunk in chunks:
-        for a, b in zip(chunk, chunk[1:]):
-            if not line.has_edge(a, b):
-                raise SolverError("internal error: chunk is not an L(G) path")
+    chunks = dfs_chunks(component)
     ordered = reorder_paths_greedily(chunks)
     return tour_from_paths(ordered), len(chunks)
 
@@ -187,8 +227,9 @@ def solve_dfs_approx(
 
     This is the bottom of the degradation ladder that still carries a
     guarantee, so it never stops early: a ``budget`` is polled only for
-    node accounting (linear time — by the time a deadline can trip, the
-    answer is essentially done anyway).
+    node accounting.  Each component costs one O(m log m) ``repr`` sort
+    plus O(m) DFS and peeling steps; the E-T3.1 series in EXPERIMENTS.md
+    measures the resulting time exponent.
     """
     working = graph.without_isolated_vertices()
     tours: list[list] = []

@@ -12,6 +12,13 @@ Moves implemented:
   variant: prefix/suffix reversals touch only one boundary.
 - **or-opt** (node relocation): move a single tour node between two
   adjacent tour positions elsewhere.
+
+Both passes are first-improvement scans in ``(i, j)`` / ``(i, k)`` order,
+but in TSP(1,2) only weight-1 steps can make a move improving, so each
+pass enumerates just the candidates next to an ``L(G)`` neighbour (found
+through the tour positions of each vertex's edges), in increasing order.
+A pass therefore costs O(m + Σ_x deg_{L(G)}(x)) instead of O(m²) and
+makes exactly the move a full scan would.
 """
 
 from __future__ import annotations
@@ -35,11 +42,46 @@ def _w(a, b) -> int:
     return 1 if edges_share_endpoint(a, b) else 2
 
 
-def two_opt_pass(tour: list) -> bool:
-    """One first-improvement 2-opt sweep; returns True if improved."""
+# Positions scanned between two budget polls inside a pass.
+_POLL_STRIDE = 32
+
+
+def _positions_by_vertex(tour: list) -> dict:
+    """The tour positions of each vertex's edges, in increasing order."""
+    at: dict = {}
+    for position, (u, v) in enumerate(tour):
+        at.setdefault(u, []).append(position)
+        at.setdefault(v, []).append(position)
+    return at
+
+
+def _out_of_budget(budget: Budget | None, i: int, n: int) -> bool:
+    """Poll ``budget`` every ``_POLL_STRIDE`` positions of a pass,
+    charging one node per position."""
+    return (
+        budget is not None
+        and i % _POLL_STRIDE == 0
+        and budget.poll(min(_POLL_STRIDE, n - i))
+    )
+
+
+def two_opt_pass(tour: list, budget: Budget | None = None) -> bool:
+    """One first-improvement 2-opt sweep; returns True if improved.
+
+    Reversing ``tour[i..j]`` can only improve if one of its new boundary
+    steps is good, i.e. ``tour[i-1] ~ tour[j]`` or ``tour[i] ~ tour[j+1]``:
+    with both new steps bad it costs at least as much as before.  Only
+    those ``j`` are tried.  A tripped ``budget`` ends the pass unchanged.
+    """
     n = len(tour)
+    at = _positions_by_vertex(tour)
     for i in range(n - 1):
-        for j in range(i + 1, n):
+        if _out_of_budget(budget, i, n):
+            return False
+        candidates = {q - 1 for v in tour[i] for q in at[v] if q > i + 1}
+        if i > 0:
+            candidates.update(j for v in tour[i - 1] for j in at[v] if j > i)
+        for j in sorted(candidates):
             # Reversing tour[i..j]: boundary steps are (i-1, i) and (j, j+1).
             before = 0
             after = 0
@@ -55,10 +97,21 @@ def two_opt_pass(tour: list) -> bool:
     return False
 
 
-def or_opt_pass(tour: list) -> bool:
-    """One first-improvement single-node relocation sweep."""
+def or_opt_pass(tour: list, budget: Budget | None = None) -> bool:
+    """One first-improvement single-node relocation sweep.
+
+    Removing ``tour[i]`` saves ``removal_gain``; reinserting it at gap
+    ``k`` of the rest costs 0–3, and at least 2 unless the node is
+    adjacent to a gap neighbour, so only gaps next to an ``L(G)``
+    neighbour can improve — except when the gain is 3.  Then the front
+    gap, which costs at most 2 and comes first, is the move.  A tripped
+    ``budget`` ends the pass unchanged.
+    """
     n = len(tour)
+    at = _positions_by_vertex(tour)
     for i in range(n):
+        if _out_of_budget(budget, i, n):
+            return False
         node = tour[i]
         removal_gain = 0
         if i > 0:
@@ -67,19 +120,33 @@ def or_opt_pass(tour: list) -> bool:
             removal_gain += _w(node, tour[i + 1])
         if 0 < i < n - 1:
             removal_gain -= _w(tour[i - 1], tour[i + 1])
-        rest = tour[:i] + tour[i + 1 :]
-        for k in range(len(rest) + 1):
+        if removal_gain <= 0:
+            continue  # no insertion costs less than 0
+        # Gaps of the rest (the tour without position i) on either side of
+        # each neighbour; rest[x] is tour[x] below i and tour[x + 1] above.
+        candidates = set()
+        for v in node:
+            for p in at[v]:
+                if p != i:
+                    r = p if p < i else p - 1
+                    candidates.update((r, r + 1))
+        if removal_gain == 3:
+            candidates.add(0)
+        for k in sorted(candidates):
             if k == i:
                 continue  # reinserting in place
             insertion_cost = 0
+            before_gap = tour[k - 1] if k <= i else tour[k]
+            after_gap = tour[k] if k < i else tour[k + 1] if k < n - 1 else None
             if k > 0:
-                insertion_cost += _w(rest[k - 1], node)
-            if k < len(rest):
-                insertion_cost += _w(node, rest[k])
-            if 0 < k < len(rest):
-                insertion_cost -= _w(rest[k - 1], rest[k])
+                insertion_cost += _w(before_gap, node)
+            if after_gap is not None:
+                insertion_cost += _w(node, after_gap)
+            if k > 0 and after_gap is not None:
+                insertion_cost -= _w(before_gap, after_gap)
             if insertion_cost < removal_gain:
-                tour[:] = rest[:k] + [node] + rest[k:]
+                del tour[i]
+                tour.insert(k, node)
                 return True
     return False
 
@@ -89,16 +156,13 @@ def improve_tour(
 ) -> list:
     """Run 2-opt and or-opt to a local optimum; returns the improved tour.
 
-    The input list is not modified.  Anytime: the tour is valid between
-    passes, so a tripped ``budget`` just stops improving early.
+    The input list is not modified.  Anytime: both passes poll ``budget``
+    as they scan and stop without a move once it trips, so the tour is
+    always valid and a tripped budget just stops improving early.
     """
     working = list(tour)
     for _ in range(max_rounds):
-        if budget is not None and budget.poll(max(1, len(working))):
-            break  # anytime cut between passes; tour stays valid
-        if two_opt_pass(working):
-            continue
-        if or_opt_pass(working):
+        if two_opt_pass(working, budget) or or_opt_pass(working, budget):
             continue
         break
     assert tour_cost(working) <= tour_cost(list(tour))

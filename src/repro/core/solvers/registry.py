@@ -27,11 +27,12 @@ elapsed time, the poly-time lower bound, and each degradation step).
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from dataclasses import dataclass
 
 from repro.errors import BudgetExhaustedError, InstanceTooLargeError, SolverError
 from repro.graphs.bipartite import BipartiteGraph
-from repro.graphs.components import component_vertex_sets
+from repro.graphs.components import component_index
 from repro.graphs.simple import Graph
 from repro.core.lower_bounds import effective_cost_lower_bound
 from repro.core.scheme import PebblingScheme
@@ -175,12 +176,9 @@ def _wrap(
 
 
 def _max_component_edges(graph: AnyGraph) -> int:
-    working = graph.without_isolated_vertices()
-    sizes = [
-        working.subgraph(vs).num_edges
-        for vs in component_vertex_sets(working)
-    ]
-    return max(sizes, default=0)
+    component_of = component_index(graph)
+    sizes = Counter(component_of[u] for u, _v in graph.edges())
+    return max(sizes.values(), default=0)
 
 
 # Options consumed by budget resolution; solve() strips them before
@@ -245,6 +243,8 @@ def solve(graph: AnyGraph, method: str = "auto", **options) -> SolveResult:
         raise SolverError(f"unknown method {method!r}; choose from {METHODS}")
 
     budget = _resolve_budget(options)
+    if budget is not None:
+        budget.start()  # the deadline covers the whole solve
     solver_options = {
         k: v for k, v in options.items() if k not in _BUDGET_OPTION_KEYS
     }

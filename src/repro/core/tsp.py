@@ -17,6 +17,8 @@ Identities implemented and tested:
 
 from __future__ import annotations
 
+import heapq
+from collections import deque
 from collections.abc import Sequence
 
 from repro.errors import SchemeError
@@ -29,8 +31,11 @@ EdgeNode = tuple  # a node of L(G) == an edge of G in canonical orientation
 
 
 def edges_share_endpoint(e1: EdgeNode, e2: EdgeNode) -> bool:
-    """Weight-1 test: do the two underlying edges share an endpoint?"""
-    return bool(set(e1) & set(e2))
+    """Weight-1 test: do the two underlying edges share an endpoint?
+
+    Endpoints are compared by label, as ``set(e1) & set(e2)`` would.
+    """
+    return e1[0] in e2 or e1[1] in e2
 
 
 def tour_cost(tour: Sequence[EdgeNode]) -> int:
@@ -140,38 +145,62 @@ def reorder_paths_greedily(
     the tail edge of one path shares an endpoint with the head edge of the
     next, the junction is free.  This greedy pass chains paths on such
     bonuses; it never increases cost.
+
+    The chain starts with the first path and grows from both ends.  Each
+    step takes the lowest-index unplaced path with an end edge touching the
+    chain's tail or head edge, trying in turn: append it, append it
+    reversed, prepend it, prepend it reversed.  With no such path, the
+    lowest-index unplaced path is appended as is.  The candidates are found
+    through one min-heap of path indices per vertex (the endpoints of each
+    path's end edges, deleted lazily), so the pass takes
+    O(P log P) for P paths.
     """
     remaining = [list(p) for p in paths]
     if not remaining:
         return []
-    # Grow a chain of paths from both ends: try to append a path whose
-    # endpoint matches the chain's tail, or prepend one matching its head.
-    chain: list[list] = [remaining.pop(0)]
-    while remaining:
+    by_vertex: dict = {}
+    for index, path in enumerate(remaining):
+        for vertex in {*path[0], *path[-1]}:
+            by_vertex.setdefault(vertex, []).append(index)
+    placed = [False] * len(remaining)
+
+    def take(index: int) -> list[EdgeNode]:
+        placed[index] = True
+        return remaining[index]
+
+    def lowest_touching(edge: EdgeNode) -> int | None:
+        best = None
+        for vertex in edge:
+            heap = by_vertex.get(vertex)
+            while heap and placed[heap[0]]:
+                heapq.heappop(heap)
+            if heap and (best is None or heap[0] < best):
+                best = heap[0]
+        return best
+
+    chain: deque[list[EdgeNode]] = deque([take(0)])
+    next_unplaced = 1
+    for _ in range(len(remaining) - 1):
         tail = chain[-1][-1]
         head = chain[0][0]
-        placed = False
-        for index, path in enumerate(remaining):
+        candidates = [
+            i for i in (lowest_touching(tail), lowest_touching(head))
+            if i is not None
+        ]
+        if candidates:
+            path = take(min(candidates))
             if edges_share_endpoint(tail, path[0]):
-                chain.append(remaining.pop(index))
-                placed = True
-                break
-            if edges_share_endpoint(tail, path[-1]):
-                chosen = remaining.pop(index)
-                chosen.reverse()
-                chain.append(chosen)
-                placed = True
-                break
-            if edges_share_endpoint(head, path[-1]):
-                chain.insert(0, remaining.pop(index))
-                placed = True
-                break
-            if edges_share_endpoint(head, path[0]):
-                chosen = remaining.pop(index)
-                chosen.reverse()
-                chain.insert(0, chosen)
-                placed = True
-                break
-        if not placed:
-            chain.append(remaining.pop(0))
-    return chain
+                chain.append(path)
+            elif edges_share_endpoint(tail, path[-1]):
+                path.reverse()
+                chain.append(path)
+            elif edges_share_endpoint(head, path[-1]):
+                chain.appendleft(path)
+            else:
+                path.reverse()
+                chain.appendleft(path)
+        else:
+            while placed[next_unplaced]:
+                next_unplaced += 1
+            chain.append(take(next_unplaced))
+    return list(chain)

@@ -149,7 +149,10 @@ class BipartiteGraph:
         raise VertexError(f"vertex {vertex!r} does not exist")
 
     def degree(self, vertex: Vertex) -> int:
-        return len(self.neighbors(vertex))
+        for side in (self._left, self._right):
+            if vertex in side:
+                return len(side[vertex])
+        raise VertexError(f"vertex {vertex!r} does not exist")
 
     def isolated_vertices(self) -> list[Vertex]:
         """Vertices with no incident edge (removed a priori by the paper)."""

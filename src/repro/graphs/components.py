@@ -48,6 +48,16 @@ def component_vertex_sets(graph: AnyGraph) -> list[set[Vertex]]:
     return components
 
 
+def component_index(graph: AnyGraph) -> dict[Vertex, int]:
+    """Each vertex's component, as an index into
+    :func:`component_vertex_sets`'s list."""
+    return {
+        v: index
+        for index, vertex_set in enumerate(component_vertex_sets(graph))
+        for v in vertex_set
+    }
+
+
 def connected_components(graph: AnyGraph) -> list[AnyGraph]:
     """The connected components as induced subgraphs of the same type."""
     return [graph.subgraph(vs) for vs in component_vertex_sets(graph)]

@@ -1,9 +1,10 @@
 """Graph traversal: BFS, DFS, DFS trees, and bipartiteness checking.
 
-The 1.25-approximation of Theorem 3.1 is built on a rooted DFS tree of the
-line graph, so DFS trees here carry explicit parent/children structure and
-subtree-size bookkeeping that the solver manipulates (twin elimination and
-path peeling rewire the tree in place).
+DFS trees here carry explicit parent/children structure and subtree-size
+bookkeeping, and can be rewired in place.  The Theorem 3.1 solver walks
+its DFS tree of the line graph implicitly
+(:func:`repro.core.solvers.dfs_approx.line_dfs_tree`); :func:`dfs_tree` on
+an explicit ``L(G)`` is the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -63,10 +64,10 @@ def _has_vertex(graph: AnyGraph, vertex: Vertex) -> bool:
 class RootedTree:
     """A rooted tree with mutable parent/children structure.
 
-    Used by the Theorem 3.1 approximation, which starts from a DFS tree of
-    ``L(G)`` and then rewires it (twin elimination) and peels subtrees from
-    it (path chunking).  The tree is *not* tied to a graph: rewiring steps
-    are validated by the caller against the underlying graph's adjacency.
+    Supports the rewiring (twin elimination) and subtree peeling steps of
+    the Theorem 3.1 construction.  The tree is *not* tied to a graph:
+    rewiring steps are validated by the caller against the underlying
+    graph's adjacency.
     """
 
     def __init__(self, root: Vertex) -> None:

@@ -40,11 +40,6 @@ BENCH_SCHEMA = "repro-bench/v2"
 # solving stack degrades (it is cooperative, not preemptive).
 DEFAULT_SCENARIO_DEADLINE = 60.0
 
-# The tracked perf-trajectory feed: every bench run publishes its
-# canonical BENCH_<date>.json here (in addition to the scratch out_dir),
-# so the longitudinal record survives scratch-dir cleanup.
-DEFAULT_PUBLISH_DIR = "benchmarks/results"
-
 
 @dataclass(frozen=True)
 class BenchConfig:
@@ -651,8 +646,8 @@ def run_bench(
     metrics, tables, ``bench.json``, ``events.jsonl``, traces), and —
     unless ``out_dir`` is None — a top-level ``BENCH_<date>.json``.
     With ``publish_dir`` set, the same snapshot is also published there:
-    the CLI points it at the tracked ``benchmarks/results/`` directory so
-    the perf-trajectory feed is never empty.  Returns
+    ``make bench-smoke`` and CI point it at the tracked
+    ``benchmarks/results/`` perf-trajectory feed.  Returns
     ``(report, run_dir, bench_path)``.
 
     ``jobs`` flows to batch scenarios (``solver-batch``) through

@@ -85,3 +85,20 @@ class TestReports:
         assert isolated_line_nodes_bound(line) == 3
         line2 = line_graph(star_graph(3))
         assert isolated_line_nodes_bound(line2) == 1
+
+
+class TestDegreeFormula:
+    def test_jump_bound_equals_line_graph_count(self):
+        # jump_lower_bound reads deg_L(u, v) = deg(u) + deg(v) - 2 off G;
+        # it must equal the bound computed on each component's L(G).
+        from repro.graphs.components import component_vertex_sets
+        from repro.graphs.generators import random_bipartite_gnm
+
+        for seed in range(300):
+            graph = random_bipartite_gnm(8, 8, 4 + seed % 30, seed=seed)
+            expected = 0
+            for vertex_set in component_vertex_sets(graph):
+                sub = graph.subgraph(vertex_set)
+                if sub.num_edges:
+                    expected += path_partition_lower_bound(line_graph(sub)) - 1
+            assert jump_lower_bound(graph) == expected, seed

@@ -119,3 +119,17 @@ class TestBudgetOptionsNonDestructive:
         # would reject them as unexpected keyword arguments).
         result = solve(worst_case_family(2), "exact", deadline=60.0)
         assert result.optimal
+
+
+def test_max_component_edges_counts_in_one_pass():
+    from repro.core.solvers.registry import _max_component_edges
+    from repro.graphs.components import component_vertex_sets
+    from repro.graphs.generators import random_bipartite_gnm
+
+    for seed in range(100):
+        graph = random_bipartite_gnm(7, 7, seed % 25, seed=seed)
+        expected = max(
+            (graph.subgraph(vs).num_edges for vs in component_vertex_sets(graph)),
+            default=0,
+        )
+        assert _max_component_edges(graph) == expected

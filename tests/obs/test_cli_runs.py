@@ -11,6 +11,7 @@ import pytest
 from repro.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures" / "runs"
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 @pytest.fixture()
@@ -229,6 +230,21 @@ class TestBenchPublish:
         payload = json.loads(snapshots[0].read_text())
         assert payload["schema"] == "repro-bench/v2"
         assert "trajectory feed" in capsys.readouterr().out
+
+    def test_default_bench_leaves_tracked_feed_untouched(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        feed = REPO_ROOT / "benchmarks" / "results"
+        before = {p.name: p.read_bytes() for p in feed.iterdir()}
+        monkeypatch.chdir(REPO_ROOT)  # where the old default pointed
+        code = main([
+            "bench", "--smoke",
+            "--runs-dir", str(tmp_path / "runs"),
+            "--out-dir", str(tmp_path),
+        ])
+        assert code == 0
+        assert {p.name: p.read_bytes() for p in feed.iterdir()} == before
+        assert "trajectory feed" not in capsys.readouterr().out
 
     def test_no_publish_skips_feed(self, tmp_path, capsys):
         publish = tmp_path / "feed"
