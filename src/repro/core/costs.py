@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 
 from repro.graphs.bipartite import BipartiteGraph
-from repro.graphs.components import betti_number, component_vertex_sets
+from repro.graphs.components import betti_number, component_edge_counts
 from repro.graphs.simple import Graph
 from repro.core.scheme import PebblingScheme
 
@@ -42,14 +42,7 @@ def effective_cost_bounds(graph: AnyGraph) -> tuple[int, int]:
     with no edges both bounds are 0.
     """
     m = graph.num_edges
-    if m == 0:
-        return (0, 0)
-    upper = 0
-    for vertex_set in component_vertex_sets(graph):
-        sub = graph.subgraph(vertex_set)
-        mc = sub.num_edges
-        if mc:
-            upper += math.floor(1.25 * mc)
+    upper = sum(math.floor(1.25 * mc) for mc in component_edge_counts(graph))
     return (m, upper)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from repro.errors import InstanceTooLargeError
 from repro.graphs.bipartite import BipartiteGraph
-from repro.graphs.components import component_vertex_sets
+from repro.graphs.components import split_components
 from repro.graphs.simple import Graph
 from repro.core.costs import effective_cost_bounds
 from repro.core.lower_bounds import effective_cost_lower_bound
@@ -43,13 +43,12 @@ class PebbleDecision:
 
     def verify(self, graph: AnyGraph) -> bool:
         """Re-check the certificate against the graph."""
-        working = graph.without_isolated_vertices()
         if self.answer:
             if self.scheme is None:
                 return False
-            if not self.scheme.is_valid(working):
+            if not self.scheme.is_valid(graph):
                 return False
-            return self.scheme.effective_cost(working) <= self.threshold
+            return self.scheme.effective_cost(graph) <= self.threshold
         return self.lower_bound is not None and self.lower_bound > self.threshold
 
 
@@ -62,8 +61,7 @@ def decide_pebble(
     do not settle the question and the exact search exceeds its budget —
     the NP-completeness of the problem showing through.
     """
-    working = graph.without_isolated_vertices()
-    m = working.num_edges
+    m = graph.num_edges
     if m == 0:
         return PebbleDecision(
             answer=threshold >= 0,
@@ -73,7 +71,7 @@ def decide_pebble(
             lower_bound=None if threshold >= 0 else 0,
         )
 
-    lower = effective_cost_lower_bound(working)
+    lower = effective_cost_lower_bound(graph)
     if threshold < lower:
         return PebbleDecision(
             answer=False,
@@ -83,10 +81,10 @@ def decide_pebble(
             lower_bound=lower,
         )
 
-    _, upper = effective_cost_bounds(working)
+    _, upper = effective_cost_bounds(graph)
     if threshold >= upper:
         # Theorem 3.1's constructive bound settles it; produce the witness.
-        result = solve_dfs_approx(working)
+        result = solve_dfs_approx(graph)
         if result.effective_cost <= threshold:
             return PebbleDecision(
                 answer=True,
@@ -96,7 +94,7 @@ def decide_pebble(
                 lower_bound=None,
             )
 
-    exact = solve_exact(working, node_budget=node_budget)
+    exact = solve_exact(graph, node_budget=node_budget)
     if exact.effective_cost <= threshold:
         return PebbleDecision(
             answer=True,
@@ -119,10 +117,8 @@ def decide_per_component(
 ) -> list[dict]:
     """Diagnostic variant: per-component optimum vs the proportional share
     of ``K`` (components decompose by Lemma 2.2)."""
-    working = graph.without_isolated_vertices()
     out = []
-    for vertex_set in component_vertex_sets(working):
-        component = working.subgraph(vertex_set)
+    for component in split_components(graph):
         result = solve_exact(component, node_budget=node_budget)
         out.append(
             {

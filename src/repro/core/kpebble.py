@@ -103,24 +103,16 @@ def vertex_count_lower_bound(graph: AnyGraph) -> int:
     non-isolated vertex hosts a pebble at some point, and each hosting
     costs one move.  Tight for ``k ≥ n``: placing every vertex once wins
     in exactly ``n`` moves."""
-    working = graph.without_isolated_vertices()
-    if isinstance(working, BipartiteGraph):
-        return len(working.left) + len(working.right)
-    return working.num_vertices
+    return graph.num_vertices - len(graph.isolated_vertices())
 
 
 def degree_lower_bound(graph: AnyGraph) -> int:
     """``moves ≥ ⌈m / Δ⌉ + 1``: each move deletes at most Δ edges and the
     first move deletes none."""
-    working = graph.without_isolated_vertices()
-    m = working.num_edges
+    m = graph.num_edges
     if m == 0:
         return 0
-    if isinstance(working, BipartiteGraph):
-        delta = max(working.degree(v) for v in list(working.left) + list(working.right))
-    else:
-        delta = working.max_degree()
-    return -(-m // delta) + 1
+    return -(-m // max(graph.degree(v) for v in graph)) + 1
 
 
 def kpebble_lower_bound(graph: BipartiteGraph) -> int:

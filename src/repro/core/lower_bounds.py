@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import Counter
 
 from repro.graphs.bipartite import BipartiteGraph
-from repro.graphs.components import component_index, component_vertex_sets
+from repro.graphs.components import component_index, split_components
 from repro.graphs.line_graph import line_graph
 from repro.graphs.simple import Graph
 
@@ -82,10 +82,7 @@ def component_deficiency_report(graph: AnyGraph) -> list[dict]:
     explaining *why* an instance is hard to pebble.
     """
     report = []
-    for vertex_set in component_vertex_sets(graph):
-        sub = graph.subgraph(vertex_set)
-        if sub.num_edges == 0:
-            continue
+    for sub in split_components(graph):
         line = line_graph(sub)
         p_lb = path_partition_lower_bound(line)
         degree_one = sum(1 for v in line.vertices if line.degree(v) == 1)

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 
 from repro.graphs.bipartite import BipartiteGraph
-from repro.graphs.components import component_vertex_sets
+from repro.graphs.components import split_components
 from repro.graphs.simple import Graph
 from repro.core.scheme import PebblingScheme
 from repro.core.solvers.dfs_approx import component_tour_dfs
@@ -93,13 +93,11 @@ def solve_anneal(
     graph: AnyGraph, seed: int = 0, steps: int = 4000, budget: Budget | None = None
 ) -> AnnealResult:
     """Anneal every component from the DFS constructive start."""
-    working = graph.without_isolated_vertices()
     rng = random.Random(seed)
     flat: list = []
     accepted_total = 0
     with obs_trace.span("solver.anneal"):
-        for vertex_set in component_vertex_sets(working):
-            component = working.subgraph(vertex_set)
+        for component in split_components(graph):
             start, _chunks = component_tour_dfs(component)
             tour, accepted = anneal_component_tour(
                 start, rng, steps=steps, budget=budget
@@ -109,10 +107,10 @@ def solve_anneal(
     if obs_metrics.METRICS.enabled:
         obs_metrics.inc("solver.anneal.solves")
         obs_metrics.inc("solver.anneal.moves_accepted", accepted_total)
-    scheme = PebblingScheme.from_edge_order(working, flat)
+    scheme = PebblingScheme.from_edge_order(graph, flat)
     return AnnealResult(
         scheme=scheme,
-        effective_cost=scheme.effective_cost(working),
+        effective_cost=scheme.effective_cost(graph),
         jumps=scheme.jumps(),
         steps_accepted=accepted_total,
     )

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 from repro.errors import SolverError
 from repro.graphs.bipartite import BipartiteGraph
-from repro.graphs.components import component_vertex_sets
+from repro.graphs.components import split_components
 from repro.graphs.simple import Graph
 from repro.core.scheme import PebblingScheme
 from repro.core.tsp import (
@@ -231,13 +231,11 @@ def solve_dfs_approx(
     plus O(m) DFS and peeling steps; the E-T3.1 series in EXPERIMENTS.md
     measures the resulting time exponent.
     """
-    working = graph.without_isolated_vertices()
     tours: list[list] = []
     chunk_total = 0
     guarantee = 0
     with obs_trace.span("solver.dfs_approx"):
-        for vertex_set in component_vertex_sets(working):
-            component = working.subgraph(vertex_set)
+        for component in split_components(graph):
             if budget is not None:
                 budget.poll(max(1, component.num_edges))
             tour, chunks = component_tour_dfs(component)
@@ -249,10 +247,10 @@ def solve_dfs_approx(
         obs_metrics.inc("solver.dfs_approx.solves")
         obs_metrics.inc("solver.dfs_approx.chunks", chunk_total)
     flat = [edge for tour in tours for edge in tour]
-    scheme = PebblingScheme.from_edge_order(working, flat)
+    scheme = PebblingScheme.from_edge_order(graph, flat)
     return DfsApproxResult(
         scheme=scheme,
-        effective_cost=scheme.effective_cost(working),
+        effective_cost=scheme.effective_cost(graph),
         jumps=scheme.jumps(),
         chunks=chunk_total,
         guarantee=guarantee,

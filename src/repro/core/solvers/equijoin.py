@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from repro.errors import SolverError
 from repro.graphs.bipartite import BipartiteGraph
-from repro.graphs.components import component_vertex_sets
+from repro.graphs.components import split_components
 from repro.core.scheme import PebblingScheme
 
 
@@ -29,11 +29,10 @@ def is_union_of_bicliques(graph: BipartiteGraph) -> bool:
     worst-case family of Fig 1 fails) and the admission check of the
     linear-time solver.
     """
-    working = graph.without_isolated_vertices()
-    for vertex_set in component_vertex_sets(working):
-        if not working.subgraph(vertex_set).is_complete_bipartite():
-            return False
-    return True
+    return all(
+        component.is_complete_bipartite()
+        for component in split_components(graph)
+    )
 
 
 def biclique_tour(component: BipartiteGraph) -> list[tuple]:
@@ -58,14 +57,12 @@ def solve_equijoin(graph: BipartiteGraph) -> PebblingScheme:
     callers wanting a best-effort answer should use the registry's ``auto``
     method instead.
     """
-    working = graph.without_isolated_vertices()
     tour: list[tuple] = []
-    for vertex_set in component_vertex_sets(working):
-        component = working.subgraph(vertex_set)
+    for component in split_components(graph):
         if not component.is_complete_bipartite():
             raise SolverError(
                 "component is not complete bipartite; "
                 "not an equijoin join graph"
             )
         tour.extend(biclique_tour(component))
-    return PebblingScheme.from_edge_order(working, tour)
+    return PebblingScheme.from_edge_order(graph, tour)

@@ -23,10 +23,11 @@ makes exactly the move a full scan would.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 from repro.graphs.bipartite import BipartiteGraph
-from repro.graphs.components import component_vertex_sets
+from repro.graphs.components import component_index
 from repro.graphs.simple import Graph
 from repro.core.scheme import PebblingScheme
 from repro.core.tsp import edges_share_endpoint, tour_cost
@@ -185,24 +186,19 @@ def polish_scheme(
     The scheme must be an edge order.  Each component's slice of the order
     is polished independently (cross-component steps are unavoidable jumps).
     """
-    working = graph.without_isolated_vertices()
-    by_component: dict[int, list] = {}
-    component_of: dict = {}
-    for index, vertex_set in enumerate(component_vertex_sets(working)):
-        for v in vertex_set:
-            component_of[v] = index
-        by_component[index] = []
+    component_of = component_index(graph)
+    by_component: dict[int, list] = defaultdict(list)
     for a, b in scheme.configurations:
         by_component[component_of[a]].append(
-            working.orient_edge(a, b)
-            if isinstance(working, BipartiteGraph)
+            graph.orient_edge(a, b)
+            if isinstance(graph, BipartiteGraph)
             else (a, b)
         )
     flat: list = []
     with obs_trace.span("solver.polish"):
         for index in sorted(by_component):
             flat.extend(improve_tour(by_component[index], budget=budget))
-    improved = PebblingScheme.from_edge_order(working, flat)
+    improved = PebblingScheme.from_edge_order(graph, flat)
     if obs_metrics.METRICS.enabled:
         obs_metrics.inc("solver.polish.passes")
         obs_metrics.inc(
@@ -210,7 +206,7 @@ def polish_scheme(
         )
     return PolishResult(
         scheme=improved,
-        effective_cost=improved.effective_cost(working),
+        effective_cost=improved.effective_cost(graph),
         jumps=improved.jumps(),
         improvement=scheme.jumps() - improved.jumps(),
     )

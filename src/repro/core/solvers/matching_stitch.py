@@ -25,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro.graphs.bipartite import BipartiteGraph
-from repro.graphs.components import component_vertex_sets
+from repro.graphs.components import split_components
 from repro.graphs.line_graph import line_graph
 from repro.graphs.matching import greedy_maximal_matching, improve_matching
 from repro.graphs.simple import Graph
@@ -120,20 +120,18 @@ def solve_matching_stitch(
     graph: AnyGraph, budget: Budget | None = None
 ) -> MatchingStitchResult:
     """Matching-stitch scheme over every component of ``graph``."""
-    working = graph.without_isolated_vertices()
     flat: list = []
     initial_total = 0
     final_total = 0
-    for vertex_set in component_vertex_sets(working):
-        component = working.subgraph(vertex_set)
+    for component in split_components(graph):
         tour, initial, final = component_tour_matching(component, budget=budget)
         flat.extend(tour)
         initial_total += initial
         final_total += final
-    scheme = PebblingScheme.from_edge_order(working, flat)
+    scheme = PebblingScheme.from_edge_order(graph, flat)
     return MatchingStitchResult(
         scheme=scheme,
-        effective_cost=scheme.effective_cost(working),
+        effective_cost=scheme.effective_cost(graph),
         jumps=scheme.jumps(),
         fragments_initial=initial_total,
         fragments_final=final_total,

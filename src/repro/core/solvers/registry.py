@@ -27,12 +27,11 @@ elapsed time, the poly-time lower bound, and each degradation step).
 from __future__ import annotations
 
 import sys
-from collections import Counter
 from dataclasses import dataclass
 
 from repro.errors import BudgetExhaustedError, InstanceTooLargeError, SolverError
 from repro.graphs.bipartite import BipartiteGraph
-from repro.graphs.components import component_index
+from repro.graphs.components import component_edge_counts
 from repro.graphs.simple import Graph
 from repro.core.lower_bounds import effective_cost_lower_bound
 from repro.core.scheme import PebblingScheme
@@ -146,7 +145,6 @@ def _wrap(
     degradations: tuple[str, ...] = (),
     forced_status: str | None = None,
 ) -> SolveResult:
-    working = graph.without_isolated_vertices()
     if forced_status is not None:
         status = forced_status
     elif budget is not None and budget.exhausted:
@@ -160,13 +158,13 @@ def _wrap(
         provenance = SolveProvenance(
             nodes_expanded=budget.nodes_charged if budget is not None else 0,
             elapsed_seconds=budget.elapsed() if budget is not None else 0.0,
-            lower_bound=effective_cost_lower_bound(working),
+            lower_bound=effective_cost_lower_bound(graph),
             degradations=tuple(degradations),
         )
     return SolveResult(
         scheme=scheme,
         method=method,
-        effective_cost=scheme.effective_cost(working),
+        effective_cost=scheme.effective_cost(graph),
         raw_cost=scheme.cost(),
         jumps=scheme.jumps(),
         optimal=optimal,
@@ -176,9 +174,7 @@ def _wrap(
 
 
 def _max_component_edges(graph: AnyGraph) -> int:
-    component_of = component_index(graph)
-    sizes = Counter(component_of[u] for u, _v in graph.edges())
-    return max(sizes.values(), default=0)
+    return max(component_edge_counts(graph), default=0)
 
 
 # Options consumed by budget resolution; solve() strips them before
@@ -401,7 +397,7 @@ def optimal_effective_cost(graph: AnyGraph, **options) -> int:
     degrade — a degraded answer carries no optimality certificate.
     """
     if isinstance(graph, BipartiteGraph) and is_union_of_bicliques(graph):
-        return graph.without_isolated_vertices().num_edges
+        return graph.num_edges
     result = solve(graph, "exact", **options)
     if not result.optimal:
         raise SolverError(

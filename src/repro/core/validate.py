@@ -10,11 +10,7 @@ reproduction.
 from __future__ import annotations
 
 from repro.graphs.bipartite import BipartiteGraph
-from repro.graphs.components import (
-    betti_number,
-    component_vertex_sets,
-    disjoint_union,
-)
+from repro.graphs.components import betti_number, disjoint_union
 from repro.graphs.hamiltonian import has_hamiltonian_path
 from repro.graphs.line_graph import is_claw_free, line_graph
 from repro.graphs.simple import Graph
@@ -28,16 +24,15 @@ AnyGraph = Graph | BipartiteGraph
 
 def check_cost_bounds(graph: AnyGraph) -> dict:
     """Lemma 2.3 + Theorem 3.1: ``m ≤ π(G) ≤ min(2m − 1, Σ ⌊1.25 m_c⌋)``."""
-    working = graph.without_isolated_vertices()
-    if working.num_edges == 0:
+    if graph.num_edges == 0:
         return {"m": 0, "pi": 0}
-    pi = solve_exact(working).effective_cost
-    lower, tight_upper = effective_cost_bounds(working)
-    _, naive_upper = naive_cost_bounds(working)
+    pi = solve_exact(graph).effective_cost
+    lower, tight_upper = effective_cost_bounds(graph)
+    _, naive_upper = naive_cost_bounds(graph)
     assert lower <= pi, f"pi={pi} below lower bound m={lower}"
     assert pi <= tight_upper, f"pi={pi} above 1.25 bound {tight_upper}"
     assert pi <= naive_upper, f"pi={pi} above naive bound {naive_upper}"
-    return {"m": working.num_edges, "pi": pi, "upper": tight_upper}
+    return {"m": graph.num_edges, "pi": pi, "upper": tight_upper}
 
 
 def check_additivity(first: BipartiteGraph, second: BipartiteGraph) -> dict:
@@ -49,9 +44,9 @@ def check_additivity(first: BipartiteGraph, second: BipartiteGraph) -> dict:
     assert pi_union == pi_first + pi_second, (
         f"additivity violated: {pi_union} != {pi_first} + {pi_second}"
     )
-    raw_first = pi_first + betti_number(first.without_isolated_vertices())
-    raw_second = pi_second + betti_number(second.without_isolated_vertices())
-    raw_union = pi_union + betti_number(union.without_isolated_vertices())
+    raw_first = pi_first + betti_number(first)
+    raw_second = pi_second + betti_number(second)
+    raw_union = pi_union + betti_number(union)
     assert raw_union == raw_first + raw_second
     return {"pi_G": pi_first, "pi_H": pi_second, "pi_union": pi_union}
 
@@ -59,11 +54,10 @@ def check_additivity(first: BipartiteGraph, second: BipartiteGraph) -> dict:
 def check_perfect_iff_hamiltonian(graph: AnyGraph) -> dict:
     """Proposition 2.1 on a *connected* graph: ``π(G) = m`` iff ``L(G)``
     has a Hamiltonian path."""
-    working = graph.without_isolated_vertices()
-    assert len(component_vertex_sets(working)) == 1, "requires connected input"
-    m = working.num_edges
-    pi = solve_exact(working).effective_cost
-    line = line_graph(working)
+    assert betti_number(graph) == 1, "requires connected input"
+    m = graph.num_edges
+    pi = solve_exact(graph).effective_cost
+    line = line_graph(graph)
     hamiltonian = has_hamiltonian_path(line)
     assert (pi == m) == hamiltonian, (
         f"Prop 2.1 violated: pi={pi}, m={m}, ham={hamiltonian}"
@@ -74,10 +68,9 @@ def check_perfect_iff_hamiltonian(graph: AnyGraph) -> dict:
 def check_tsp_correspondence(graph: AnyGraph) -> dict:
     """Proposition 2.2 on a connected graph: the optimal scheme's tour
     costs ``π(G) − 1``."""
-    working = graph.without_isolated_vertices()
-    assert len(component_vertex_sets(working)) == 1, "requires connected input"
-    result = solve_exact(working)
-    tour = scheme_to_tour(working, result.scheme)
+    assert betti_number(graph) == 1, "requires connected input"
+    result = solve_exact(graph)
+    tour = scheme_to_tour(graph, result.scheme)
     assert tour_cost(tour) == result.effective_cost - 1, (
         f"Prop 2.2 violated: tour={tour_cost(tour)}, pi={result.effective_cost}"
     )
@@ -86,7 +79,7 @@ def check_tsp_correspondence(graph: AnyGraph) -> dict:
 
 def check_line_graph_claw_free(graph: AnyGraph) -> dict:
     """The structural fact behind Theorem 3.1: ``L(G)`` is claw-free."""
-    line = line_graph(graph.without_isolated_vertices())
+    line = line_graph(graph)
     assert is_claw_free(line), "line graph contains an induced claw"
     return {"line_nodes": line.num_vertices}
 
@@ -94,16 +87,15 @@ def check_line_graph_claw_free(graph: AnyGraph) -> dict:
 def check_dfs_guarantee(graph: AnyGraph) -> dict:
     """Theorem 3.1: the DFS algorithm's scheme costs at most
     ``Σ_c (m_c + ⌊m_c/4⌋) ≤ 1.25 m``."""
-    working = graph.without_isolated_vertices()
-    if working.num_edges == 0:
+    if graph.num_edges == 0:
         return {"m": 0}
-    result = solve_dfs_approx(working)
-    result.scheme.validate(working)
+    result = solve_dfs_approx(graph)
+    result.scheme.validate(graph)
     assert result.effective_cost <= result.guarantee, (
         f"DFS cost {result.effective_cost} exceeds guarantee {result.guarantee}"
     )
     return {
-        "m": working.num_edges,
+        "m": graph.num_edges,
         "pi_dfs": result.effective_cost,
         "guarantee": result.guarantee,
     }
@@ -114,9 +106,8 @@ def check_equijoin_perfect(graph: BipartiteGraph) -> dict:
     by the linear-time solver."""
     from repro.core.solvers.equijoin import solve_equijoin
 
-    working = graph.without_isolated_vertices()
-    scheme = solve_equijoin(working)
-    scheme.validate(working)
-    pi = scheme.effective_cost(working)
-    assert pi == working.num_edges, f"equijoin scheme not perfect: {pi}"
-    return {"m": working.num_edges, "pi": pi}
+    scheme = solve_equijoin(graph)
+    scheme.validate(graph)
+    pi = scheme.effective_cost(graph)
+    assert pi == graph.num_edges, f"equijoin scheme not perfect: {pi}"
+    return {"m": graph.num_edges, "pi": pi}

@@ -168,13 +168,14 @@ class Graph:
         return clone
 
     def subgraph(self, keep: Iterable[Vertex]) -> "Graph":
-        """The subgraph induced by the vertex set ``keep``."""
+        """The subgraph induced by the vertex set ``keep``, in this graph's
+        vertex order."""
         keep_set = set(keep)
         missing = keep_set - set(self._adjacency)
         if missing:
             raise VertexError(f"vertices not in graph: {sorted(map(repr, missing))}")
-        sub = Graph(vertices=keep_set)
-        for u in keep_set:
+        sub = Graph(vertices=(v for v in self._adjacency if v in keep_set))
+        for u in sub.vertices:
             for v in self._adjacency[u]:
                 if v in keep_set:
                     sub.add_edge(u, v)

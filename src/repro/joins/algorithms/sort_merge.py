@@ -15,46 +15,52 @@ algorithmic face of Theorems 3.2/4.1 — which the test-suite asserts.
 
 from __future__ import annotations
 
+from itertools import chain, groupby
+from operator import itemgetter
+
 from repro.errors import PredicateError
 from repro.relations.relation import Relation, TupleRef
 
 
+def _runs(relation: Relation, rank: dict) -> list[tuple[int, list[TupleRef]]]:
+    """The relation's tuples sorted on the merge key, as ``(key, refs)`` runs."""
+    ordered = sorted((rank[value], ref.ordinal, ref) for ref, value in relation.items())
+    return [
+        (key, [ref for _key, _ordinal, ref in run])
+        for key, run in groupby(ordered, key=itemgetter(0))
+    ]
+
+
 def sort_merge_join(left: Relation, right: Relation) -> list[tuple[TupleRef, TupleRef]]:
-    """All equality-matching pairs in merge emission order."""
+    """All equality-matching pairs in merge emission order.
+
+    The merge key of a tuple is the rank of its value among the distinct
+    join values of both inputs, taken in ``repr`` order.  The distinct
+    values are collected in a hash table, so two values share a key exactly
+    when ``hash_join`` matches them (``1 == 1.0``, ``0.0 == -0.0``, a NaN
+    only itself), and the merge compares integers, so it always advances.
+    """
     if left.domain != right.domain:
         raise PredicateError(
             f"cannot equijoin {left.domain.value} with {right.domain.value}"
         )
-
-    def sort_key(item):
-        ref, value = item
-        return (repr(value), ref.ordinal)
-
-    left_sorted = sorted(left.items(), key=sort_key)
-    right_sorted = sorted(right.items(), key=sort_key)
+    try:
+        distinct = dict.fromkeys(v for _ref, v in chain(left.items(), right.items()))
+    except TypeError as exc:
+        raise PredicateError(f"unhashable join key: {exc}") from exc
+    rank = {value: index for index, value in enumerate(sorted(distinct, key=repr))}
+    left_runs, right_runs = _runs(left, rank), _runs(right, rank)
     out: list[tuple[TupleRef, TupleRef]] = []
     i = j = 0
-    while i < len(left_sorted) and j < len(right_sorted):
-        l_val = left_sorted[i][1]
-        r_val = right_sorted[j][1]
-        if repr(l_val) < repr(r_val):
+    while i < len(left_runs) and j < len(right_runs):
+        (key, group_left), (r_key, group_right) = left_runs[i], right_runs[j]
+        if key < r_key:
             i += 1
-            continue
-        if repr(l_val) > repr(r_val):
+        elif key > r_key:
             j += 1
-            continue
-        # A key group: gather both runs, emit boustrophedon.
-        i_end = i
-        while i_end < len(left_sorted) and left_sorted[i_end][1] == l_val:
-            i_end += 1
-        j_end = j
-        while j_end < len(right_sorted) and right_sorted[j_end][1] == r_val:
-            j_end += 1
-        group_left = left_sorted[i:i_end]
-        group_right = right_sorted[j:j_end]
-        for row, (l_ref, _) in enumerate(group_left):
-            columns = group_right if row % 2 == 0 else list(reversed(group_right))
-            for r_ref, _ in columns:
-                out.append((l_ref, r_ref))
-        i, j = i_end, j_end
+        else:  # a key group: emit boustrophedon
+            for row, l_ref in enumerate(group_left):
+                for r_ref in group_right if row % 2 == 0 else reversed(group_right):
+                    out.append((l_ref, r_ref))
+            i, j = i + 1, j + 1
     return out

@@ -36,8 +36,7 @@ def scheme_from_output(
     raises :class:`~repro.errors.SchemeError` here, which the failure-
     injection tests rely on).
     """
-    working = graph.without_isolated_vertices()
-    return PebblingScheme.from_edge_order(working, output)
+    return PebblingScheme.from_edge_order(graph, output)
 
 
 @dataclass(frozen=True)
@@ -73,21 +72,20 @@ def trace_report(
     graph: BipartiteGraph, output: JoinOutput, algorithm: str
 ) -> TraceReport:
     """Build a :class:`TraceReport` for one execution's output order."""
-    working = graph.without_isolated_vertices()
-    if working.num_edges == 0:
+    if graph.num_edges == 0:
         if output:
             raise SchemeError("join emitted pairs but the join graph is empty")
         return TraceReport(algorithm, 0, 0, 0, 0, 0, 0)
     with obs_trace.span("joins.trace_report", algorithm=algorithm):
-        scheme = scheme_from_output(working, output)
-        lower, upper = effective_cost_bounds(working)
+        scheme = scheme_from_output(graph, output)
+        lower, upper = effective_cost_bounds(graph)
     if obs_metrics.METRICS.enabled:
         obs_metrics.inc("joins.trace_reports")
         obs_metrics.inc("joins.trace.jumps", scheme.jumps())
     return TraceReport(
         algorithm=algorithm,
-        output_size=working.num_edges,
-        effective_cost=scheme.effective_cost(working),
+        output_size=graph.num_edges,
+        effective_cost=scheme.effective_cost(graph),
         raw_cost=scheme.cost(),
         jumps=scheme.jumps(),
         lower_bound=lower,
@@ -97,7 +95,7 @@ def trace_report(
 
 def beta0(graph: BipartiteGraph) -> int:
     """Convenience re-export of the Betti number for report code."""
-    return betti_number(graph.without_isolated_vertices())
+    return betti_number(graph)
 
 
 @dataclass(frozen=True)

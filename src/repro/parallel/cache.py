@@ -116,7 +116,6 @@ class CacheToken:
 
     key: str
     form: CanonicalForm
-    graph: AnyGraph
 
 
 def options_digest(options: dict[str, Any]) -> str:
@@ -164,11 +163,10 @@ def result_from_entry(
 ) -> SolveResult:
     """Rehydrate a cached entry against ``graph`` (same fingerprint)."""
     scheme = decode_scheme(entry.scheme, form)
-    working = graph.without_isolated_vertices()
     return SolveResult(
         scheme=scheme,
         method=entry.method,
-        effective_cost=scheme.effective_cost(working),
+        effective_cost=scheme.effective_cost(graph),
         raw_cost=entry.raw_cost,
         jumps=entry.jumps,
         optimal=entry.optimal,
@@ -384,9 +382,11 @@ class SolveCache:
     def consult(
         self, graph: AnyGraph, method: str, options: dict[str, Any]
     ) -> tuple[SolveResult | None, CacheToken]:
-        form = canonical_form(graph.without_isolated_vertices())
+        if graph.isolated_vertices():
+            graph = graph.without_isolated_vertices()
+        form = canonical_form(graph)
         key = cache_key(form, method, options)
-        token = CacheToken(key=key, form=form, graph=graph)
+        token = CacheToken(key=key, form=form)
         tier = "memory"
         with self._lock:
             entry = self.memory.get(key)

@@ -5,8 +5,9 @@ graph are pebbled independently and their costs add, so per-component
 work can fan out across processes and reassemble without changing any
 answer.  The pipeline per batch:
 
-1. **decompose** — every input graph is split into connected components
-   (isolated vertices dropped first, matching the paper's convention);
+1. **decompose** — every input graph is split once into its connected
+   components by :func:`~repro.graphs.components.split_components`
+   (isolated vertices dropped, matching the paper's convention);
 2. **dedupe + cache** — each component is fingerprinted
    (:mod:`repro.parallel.fingerprint`); structurally identical
    components collapse into one task, and an installed
@@ -17,10 +18,11 @@ answer.  The pipeline per batch:
    paths), each worker shipping its metrics/events home for merging
    (:mod:`repro.parallel.pool`);
 4. **reassemble** — per input graph, component schemes are stitched in
-   canonical component order; costs add per Lemma 2.2 (the stitched
-   scheme's cost *equals* the sum of component costs, which
-   :meth:`~repro.core.scheme.PebblingScheme.cost` re-derives), statuses
-   merge to the most degraded, provenance is pooled.
+   canonical component order in one concatenation; costs add per
+   Lemma 2.2 (the stitched scheme's cost *equals* the sum of component
+   costs, which :meth:`~repro.core.scheme.PebblingScheme.cost`
+   re-derives), statuses merge to the most degraded, provenance is
+   pooled.
 
 Results are **deterministic in the job count**: ``jobs=4`` returns
 byte-identical costs, schemes, and statuses to ``jobs=1``, because task
@@ -44,7 +46,7 @@ from typing import Any, Sequence
 from repro.core.scheme import PebblingScheme
 from repro.core.solvers.registry import METHODS, SolveResult, solve
 from repro.errors import SolverError
-from repro.graphs.components import component_vertex_sets
+from repro.graphs.components import split_components
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -130,19 +132,19 @@ def _merge_provenance(
 
 
 def assemble_components(
-    graph: AnyGraph,
     method: str,
     component_results: Sequence[SolveResult],
 ) -> SolveResult:
     """Stitch per-component results back into one graph-level result.
 
-    Component schemes concatenate in canonical component order; the
-    transition between two components always moves both pebbles, so the
-    stitched raw cost is exactly the sum of component raw costs and the
-    effective cost is the sum of component effective costs (Lemma 2.2) —
-    both recomputed from the stitched scheme rather than trusted.
+    ``component_results`` holds one result per connected component with
+    at least one edge, in canonical component order, so ``β₀`` is their
+    number.  Component schemes concatenate in that order, in one pass;
+    the transition between two components always moves both pebbles, so
+    the stitched raw cost is exactly the sum of component raw costs
+    (Lemma 2.2).  It is recomputed from the stitched scheme rather than
+    trusted, and the effective cost is that raw cost minus ``β₀``.
     """
-    working = graph.without_isolated_vertices()
     if not component_results:
         empty = PebblingScheme(())
         return SolveResult(
@@ -156,9 +158,10 @@ def assemble_components(
         )
     if len(component_results) == 1:
         return component_results[0]
-    scheme = component_results[0].scheme
-    for part in component_results[1:]:
-        scheme = scheme.concat(part.scheme)
+    scheme = PebblingScheme(
+        config for part in component_results for config in part.scheme
+    )
+    raw_cost = scheme.cost()
     methods = {r.method for r in component_results}
     merged_method = methods.pop() if len(methods) == 1 else method
     status = _merge_status([r.status for r in component_results])
@@ -166,8 +169,8 @@ def assemble_components(
     return SolveResult(
         scheme=scheme,
         method=merged_method,
-        effective_cost=scheme.effective_cost(working),
-        raw_cost=scheme.cost(),
+        effective_cost=raw_cost - len(component_results),
+        raw_cost=raw_cost,
         jumps=scheme.jumps(),
         optimal=optimal and status == STATUS_OPTIMAL,
         status=status,
@@ -275,10 +278,8 @@ def _solve_many(
     pending: dict[str, AnyGraph] = {}
     total_components = 0
     for graph in graphs:
-        working = graph.without_isolated_vertices()
         keys: list[tuple[str, CanonicalForm]] = []
-        for vertex_set in component_vertex_sets(working):
-            component = working.subgraph(vertex_set)
+        for component in split_components(graph):
             form = canonical_form(component)
             key = cache_key(form, method, options)
             keys.append((key, form))
@@ -358,21 +359,20 @@ def _solve_many(
         if cache is not None:
             for key, component in tasks:
                 cache.store(
-                    CacheToken(key=key, form=rep_forms[key], graph=component),
+                    CacheToken(key=key, form=rep_forms[key]),
                     solved[key],
                 )
 
     # 4. Reassemble per input graph, in input order.
     return [
         assemble_components(
-            graph,
             method,
             [
                 rebind_result(solved[key], rep_forms[key], form)
                 for key, form in keys
             ],
         )
-        for graph, keys in zip(graphs, plans)
+        for keys in plans
     ]
 
 

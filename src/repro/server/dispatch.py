@@ -34,7 +34,7 @@ from repro.engine.executor import execute as engine_execute
 from repro.engine.planner import plan as engine_plan
 from repro.engine.query import JoinQuery
 from repro.errors import GraphError, PredicateError, RelationError
-from repro.graphs.components import component_vertex_sets
+from repro.graphs.components import split_components
 from repro.graphs.io import load_bipartite, load_graph
 from repro.joins import predicates as predicate_module
 from repro.obs import context as obs_context
@@ -227,15 +227,13 @@ class Dispatcher:
 
         method = request.method
         options = dict(request.options)
-        working = graph.without_isolated_vertices()
 
         # Decompose + dedupe + consult the shared cache (loop thread).
         keys: list[tuple[str, CanonicalForm]] = []
         solved: dict[str, Any] = {}
         rep_forms: dict[str, CanonicalForm] = {}
         pending: dict[str, AnyGraph] = {}
-        for vertex_set in component_vertex_sets(working):
-            component = working.subgraph(vertex_set)
+        for component in split_components(graph):
             form = canonical_form(component)
             key = cache_key(form, method, options)
             keys.append((key, form))
@@ -317,14 +315,11 @@ class Dispatcher:
             if self.cache is not None:
                 for key, component in tasks:
                     self.cache.store(
-                        CacheToken(
-                            key=key, form=rep_forms[key], graph=component
-                        ),
+                        CacheToken(key=key, form=rep_forms[key]),
                         solved[key],
                     )
 
         result = assemble_components(
-            graph,
             method,
             [
                 rebind_result(solved[key], rep_forms[key], form)

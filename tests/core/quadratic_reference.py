@@ -7,11 +7,16 @@ versions in ``src/`` to them move for move.
   node with at least 4 nodes below it, found by walking parent pointers.
 - ``reorder_paths_greedily``: rescans every remaining path per step.
 - ``two_opt_pass`` / ``or_opt_pass``: try every ``(i, j)`` / ``(i, k)``.
+- ``split_components``: the component split every solve path used to
+  repeat: copy the graph without its isolated vertices, then build each
+  component with ``subgraph``, which scans the whole copy per component
+  (O(V·C)).
 """
 
 from __future__ import annotations
 
 from repro.errors import SolverError
+from repro.graphs.components import component_vertex_sets
 from repro.graphs.line_graph import line_graph
 from repro.graphs.traversal import dfs_tree
 
@@ -176,3 +181,8 @@ def or_opt_pass(tour: list) -> bool:
                 tour[:] = rest[:k] + [node] + rest[k:]
                 return True
     return False
+
+
+def split_components(graph):
+    working = graph.without_isolated_vertices()
+    return [working.subgraph(vs) for vs in component_vertex_sets(working)]
